@@ -442,68 +442,109 @@ func (t *Tree) readDirRegion() error {
 	return nil
 }
 
-// readLeaf reads leaf data from disk (first page random, the rest
-// sequential) and returns the records of each section, in section order,
-// freshly allocated: offline consumers (Verify, tests) may hold the result
-// across further reads. The query hot path uses readLeafInto instead.
-func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
-	var d leafDecoder
-	return t.readLeafInto(ordinal, &d)
+// leafPages is one leaf's data pages, read and checksum-verified but not
+// decoded: the leaf's records are the consecutive record.Size-byte slots of
+// its pages in page order (perPage slots per page, the last page partly
+// filled), sections stored one after another in section order. The query
+// path filters sections on these encoded bytes and decodes only the
+// records it emits; it reuses one leafPages per stream.
+type leafPages struct {
+	perPage int
+	pages   [][]byte // verified payload of each data page
+	bufs    [][]byte // pooled page buffers the pages may be read into
 }
 
-// leafDecoder is the reusable arena one stream decodes leaves into. Every
-// leaf of a stream lands in the same record slab, so the per-leaf
-// allocations and per-record copies of the naive decode disappear; the
-// returned sections alias the arena and are valid only until the next
-// readLeafInto call with the same decoder. Reuse is safe for the query
-// path because everything it keeps past a stab (emitted records, parked
-// bucket batches) is copied out of the sections by value.
-type leafDecoder struct {
-	arena    []record.Record
-	sections [][]record.Record
-}
-
-// readLeafInto decodes one leaf into d: each page's payload is obtained
-// with a zero-copy read where the backend allows it and decoded as a whole
-// batch, instead of copying the page and unmarshalling record by record.
-func (t *Tree) readLeafInto(ordinal int64, d *leafDecoder) ([][]record.Record, error) {
+// readLeafPages reads every data page of leaf ordinal into l (first page
+// random, the rest sequential). Each payload is a zero-copy view where the
+// backend allows it, else the page is read and verified in place in a
+// pooled buffer. On success the caller must releaseLeafPages once done
+// with the payloads; on error nothing stays held.
+func (t *Tree) readLeafPages(ordinal int64, l *leafPages) error {
 	if ordinal < 0 || ordinal >= t.nLeaves {
-		return nil, fmt.Errorf("core: leaf %d out of range [0,%d)", ordinal, t.nLeaves)
+		return fmt.Errorf("core: leaf %d out of range [0,%d)", ordinal, t.nLeaves)
 	}
 	m := &t.leaves[ordinal]
-	total := m.totalRecords()
-	if cap(d.sections) < t.h {
-		d.sections = make([][]record.Record, t.h)
-	}
-	sections := d.sections[:t.h]
-	for s := range sections {
-		sections[s] = nil
-	}
-	if total == 0 {
-		return sections, nil
-	}
-	perPage := int64(t.f.PageSize() / record.Size)
-	pages := ceilDiv(total, perPage)
-	buf := t.f.PageBuf()
-	defer t.f.PutPageBuf(buf)
-	flat := d.arena[:0]
+	l.perPage = t.f.PageSize() / record.Size
+	pages := ceilDiv(m.totalRecords(), int64(l.perPage))
 	for p := int64(0); p < pages; p++ {
+		buf := t.f.PageBuf()
+		l.bufs = append(l.bufs, buf)
 		payload, err := t.f.ReadPayload(m.firstPage+p, buf)
 		if err != nil {
-			return nil, err
+			t.releaseLeafPages(l)
+			return err
 		}
-		n := perPage
-		if rem := total - p*perPage; rem < n {
-			n = rem
-		}
-		flat = record.AppendBatch(flat, payload, int(n))
+		l.pages = append(l.pages, payload)
 	}
-	d.arena = flat
-	off := 0
-	for s := 0; s < t.h; s++ {
-		n := int(m.secCounts[s])
-		sections[s] = flat[off : off+n : off+n]
-		off += n
+	return nil
+}
+
+// releaseLeafPages returns l's pooled buffers and forgets its payloads.
+func (t *Tree) releaseLeafPages(l *leafPages) {
+	for _, b := range l.bufs {
+		t.f.PutPageBuf(b)
+	}
+	clear(l.bufs)
+	clear(l.pages)
+	l.bufs, l.pages = l.bufs[:0], l.pages[:0]
+}
+
+// countMatching returns how many of the leaf's records [first, first+n)
+// lie inside q, reading only their encoded coordinates.
+func (l *leafPages) countMatching(q record.Box, first, n int) int {
+	k := 0
+	p, o := first/l.perPage, first%l.perPage
+	for n > 0 {
+		run := min(n, l.perPage-o)
+		page := l.pages[p][o*record.Size : (o+run)*record.Size]
+		for off := 0; off < len(page); off += record.Size {
+			if q.ContainsEncoded(page[off:]) {
+				k++
+			}
+		}
+		n -= run
+		p, o = p+1, 0
+	}
+	return k
+}
+
+// appendMatching decodes the leaf's records [first, first+n) that lie
+// inside q onto dst, filtering on their encoded coordinates so only the
+// matches are ever decoded.
+func (l *leafPages) appendMatching(dst []record.Record, q record.Box, first, n int) []record.Record {
+	p, o := first/l.perPage, first%l.perPage
+	for n > 0 {
+		run := min(n, l.perPage-o)
+		page := l.pages[p][o*record.Size : (o+run)*record.Size]
+		for off := 0; off < len(page); off += record.Size {
+			if q.ContainsEncoded(page[off:]) {
+				dst = append(dst, record.Record{})
+				dst[len(dst)-1].Unmarshal(page[off:])
+			}
+		}
+		n -= run
+		p, o = p+1, 0
+	}
+	return dst
+}
+
+// readLeaf reads one leaf and decodes every record of each section, in
+// section order, into freshly allocated slices: offline consumers (Verify,
+// tests) may hold the result across further reads.
+func (t *Tree) readLeaf(ordinal int64) ([][]record.Record, error) {
+	var l leafPages
+	if err := t.readLeafPages(ordinal, &l); err != nil {
+		return nil, err
+	}
+	defer t.releaseLeafPages(&l)
+	all := record.FullBox(t.dims)
+	sections := make([][]record.Record, t.h)
+	first := 0
+	for s, n := range t.leaves[ordinal].secCounts {
+		if n > 0 {
+			sections[s] = l.appendMatching(make([]record.Record, 0, n), all, first, int(n))
+		}
+		first += int(n)
 	}
 	return sections, nil
 }

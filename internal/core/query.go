@@ -75,8 +75,9 @@ type Stream struct {
 	haveNext  bool
 	prefetch  bool
 
-	// dec is the stream's reusable leaf-decode arena.
-	dec leafDecoder
+	// leaf holds the current stab's verified, still-encoded data pages;
+	// reused across stabs.
+	leaf leafPages
 }
 
 // stab is one routed root-to-leaf traversal: the leaf it reached plus the
@@ -250,6 +251,34 @@ func (s *Stream) Next() (record.Record, error) {
 	return rec, nil
 }
 
+// Take appends up to n sample records to dst, performing stabs as needed,
+// and returns the extended slice: the records n calls of Next would
+// return, copied out of the stream in bulk. It stops early with io.EOF
+// once the stream is exhausted, or with the first stab error, returning
+// the records taken before it.
+func (s *Stream) Take(dst []record.Record, n int) ([]record.Record, error) {
+	for n > 0 {
+		if s.outHead >= len(s.out) {
+			if s.done {
+				return dst, io.EOF
+			}
+			if _, err := s.NextLeaf(); err != nil && err != io.EOF {
+				return dst, err
+			}
+			continue
+		}
+		k := min(n, len(s.out)-s.outHead)
+		dst = append(dst, s.out[s.outHead:s.outHead+k]...)
+		s.outHead += k
+		n -= k
+		if s.outHead >= len(s.out) {
+			s.out = s.out[:0]
+			s.outHead = 0
+		}
+	}
+	return dst, nil
+}
+
 // NextBatch returns all records emitted by the next stab (possibly none).
 // It returns io.EOF once the stream is exhausted.
 func (s *Stream) NextBatch() ([]record.Record, error) {
@@ -405,37 +434,42 @@ func (s *Stream) shuttle(st *stab) {
 // combineTuples implements Algorithm 4 for the leaf just retrieved: filter
 // each section by the query, emit covering sections immediately, park
 // partially overlapping sections, and flush every bucket group that has a
-// batch for each required region.
+// batch for each required region. Sections whose region misses the query
+// are never looked at, and the rest are filtered on their encoded
+// coordinates: only the records emitted or parked are decoded, straight
+// into s.out or into one exactly sized parked batch.
 func (s *Stream) combineTuples(st *stab) (int, error) {
 	t := s.t
-	sections, err := t.readLeafInto(st.leaf, &s.dec)
-	if err != nil {
+	if err := t.readLeafPages(st.leaf, &s.leaf); err != nil {
 		return 0, err
 	}
+	defer t.releaseLeafPages(&s.leaf)
 	emitted := 0
-	for sec := 0; sec < t.h; sec++ {
+	first := 0
+	for sec, n := range t.leaves[st.leaf].secCounts {
 		level := sec + 1
 		box := st.box[level]
+		from := first
+		first += int(n)
 		if !box.Overlaps(s.q) {
 			continue // useless section: its region misses the query
-		}
-		// Filter sigma_Q over the section.
-		var batch []record.Record
-		for i := range sections[sec] {
-			if s.q.ContainsRecord(&sections[sec][i]) {
-				batch = append(batch, sections[sec][i])
-			}
 		}
 		if box.ContainsBox(s.q) {
 			// The section's region covers the query: an immediately usable
 			// random sample (combinability).
-			s.out = append(s.out, batch...)
-			emitted += len(batch)
-			s.emitted += int64(len(batch))
+			before := len(s.out)
+			s.out = s.leaf.appendMatching(s.out, s.q, from, int(n))
+			k := len(s.out) - before
+			emitted += k
+			s.emitted += int64(k)
 			continue
 		}
 		// Partial overlap: park under this region and try to append one
 		// batch per required region (appendability).
+		var batch []record.Record
+		if k := s.leaf.countMatching(s.q, from, int(n)); k > 0 {
+			batch = s.leaf.appendMatching(make([]record.Record, 0, k), s.q, from, int(n))
+		}
 		nodeIdx := st.idx[level]
 		s.buckets[sec][nodeIdx] = append(s.buckets[sec][nodeIdx], batch)
 		s.buffered += len(batch)

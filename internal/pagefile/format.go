@@ -175,8 +175,8 @@ func (f *File) CheckPage(i int64) error {
 	}
 	phys := i + f.physOff
 	f.charge.ReadPage(f.id, phys)
-	frame := f.frames.get()
-	defer f.frames.put(frame)
+	frame := f.bufs.get()
+	defer f.bufs.put(frame)
 	if err := f.backend.ReadPage(phys, frame); err != nil {
 		return err
 	}

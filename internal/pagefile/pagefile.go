@@ -64,12 +64,12 @@ type File struct {
 	hdrSize  int   // per-page checksum header bytes; 0 for legacy v1 files
 	physOff  int64 // physical page of logical page 0 (1 past a superblock)
 	backend  Backend
-	// bufs recycles page-sized scratch buffers (Get, readLeaf and friends);
-	// shared across OnClock views of the same file.
+	// bufs recycles physical-frame-sized scratch buffers: the checksum
+	// encode/verify paths use them whole, PageBuf hands them out resliced
+	// to the payload size, so a pooled page buffer can always receive a
+	// frame in place (ReadPayload). Shared across OnClock views of the
+	// same file.
 	bufs *bufPool
-	// frames recycles physical-frame scratch buffers for the checksum
-	// encode/verify paths; nil for legacy v1 files.
-	frames *bufPool
 	// pf is the async page-cache warmer attached by OpenWith, nil otherwise;
 	// shared across OnClock views of the same file.
 	pf *prefetcher
@@ -156,10 +156,7 @@ func newFile(sim *iosim.Sim, backend Backend, hdrSize int, physOff int64) *File 
 		hdrSize:  hdrSize,
 		physOff:  physOff,
 		backend:  backend,
-		bufs:     &bufPool{ps: phys - hdrSize},
-	}
-	if hdrSize > 0 {
-		f.frames = &bufPool{ps: phys}
+		bufs:     &bufPool{ps: phys},
 	}
 	return f
 }
@@ -235,13 +232,16 @@ func (f *File) Read(i int64, dst []byte) error {
 }
 
 // ReadPayload reads logical page i and returns its payload bytes, charging
-// the clock exactly as Read does. When the backend can expose the stored
-// frame as stable process memory (mmap, memory backend) and no fault
-// injection needs to mutate the bytes, the returned slice aliases the
-// backend's frame and no copy is made; otherwise the payload is copied into
-// dst (at least one page long) and a sub-slice of dst is returned. Callers
+// the clock and verifying the checksum exactly as Read does. When the
+// backend can expose the stored frame as stable process memory (mmap,
+// memory backend) and no fault injection needs to mutate the bytes, the
+// returned slice aliases the backend's frame and no copy is made. Otherwise
+// the frame is read straight into dst when cap(dst) holds a whole frame (as
+// every PageBuf buffer does), verified there, and the payload is returned
+// as a sub-slice of dst that need not start at dst[0]; a smaller dst (at
+// least one page long) receives a copy of the payload at dst[0]. Callers
 // must treat the result as read-only; a zero-copy result stays valid until
-// the file is closed.
+// the file is closed, an in-place one until dst is reused.
 func (f *File) ReadPayload(i int64, dst []byte) ([]byte, error) {
 	return f.readPage(i, dst, true)
 }
@@ -297,10 +297,11 @@ func (f *File) readPage(i int64, dst []byte, zerocopy bool) ([]byte, error) {
 
 // readFrame performs one uncharged read attempt of physical page phys
 // (logical page i): fetch the frame, apply any injected bit rot, verify the
-// checksum, and produce the payload — a view of the backend's frame when
-// zerocopy is allowed and safe, a copy into dst otherwise. Bit-rot
-// injection always forces the copy path: the flip must never scribble on a
-// backend's stored frame.
+// checksum, and produce the payload. With zerocopy set the payload is a
+// view of the backend's frame when that is safe, else a sub-slice of dst
+// when dst has frame capacity; everything else is copied into dst. Bit-rot
+// injection never takes the view path: the flip must land in a private
+// frame (dst or a pooled one), never on a backend's stored frame.
 func (f *File) readFrame(phys, i int64, flt iosim.Fault, dst []byte, zerocopy bool) ([]byte, error) {
 	if vb, ok := f.backend.(viewBackend); ok && flt.FlipBit < 0 {
 		if frame, ok := vb.PageView(phys); ok {
@@ -330,20 +331,34 @@ func (f *File) readFrame(phys, i int64, flt iosim.Fault, dst []byte, zerocopy bo
 		}
 		return dst[:f.pageSize], nil
 	}
-	frame := f.frames.get()
-	defer f.frames.put(frame)
+	frameLen := f.hdrSize + f.pageSize
+	if zerocopy && cap(dst) >= frameLen {
+		return f.verifyInto(dst[:frameLen], phys, i, flt)
+	}
+	frame := f.bufs.get()
+	defer f.bufs.put(frame)
+	payload, err := f.verifyInto(frame, phys, i, flt)
+	if err != nil {
+		return nil, err
+	}
+	copy(dst[:f.pageSize], payload)
+	return dst[:f.pageSize], nil
+}
+
+// verifyInto reads physical page phys into frame (one whole frame long),
+// applies any injected bit rot there, verifies the checksum and returns the
+// payload as a sub-slice of frame.
+func (f *File) verifyInto(frame []byte, phys, i int64, flt iosim.Fault) ([]byte, error) {
 	if err := f.backend.ReadPage(phys, frame); err != nil {
 		return nil, err
 	}
 	if flt.FlipBit >= 0 {
 		flipBit(frame, flt.FlipBit)
 	}
-	got, want, ok := verifyFrame(frame, phys)
-	if !ok {
+	if got, want, ok := verifyFrame(frame, phys); !ok {
 		return nil, &CorruptPageError{Page: i, Got: got, Want: want}
 	}
-	copy(dst[:f.pageSize], frame[f.hdrSize:])
-	return dst[:f.pageSize], nil
+	return frame[f.hdrSize:len(frame):len(frame)], nil
 }
 
 // Write writes logical page i from src (at least one page long), charging
@@ -359,22 +374,23 @@ func (f *File) Write(i int64, src []byte) error {
 	if f.hdrSize == 0 {
 		return f.backend.WritePage(phys, src[:f.pageSize])
 	}
-	frame := f.frames.get()
-	defer f.frames.put(frame)
+	frame := f.bufs.get()
+	defer f.bufs.put(frame)
 	copy(frame[f.hdrSize:], src[:f.pageSize])
 	encodeFrame(frame, phys)
 	return f.backend.WritePage(phys, frame)
 }
 
 // PageBuf returns a page-sized scratch buffer from the file's reuse pool.
-// Return it with PutPageBuf when done; buffers flow freely between
-// goroutines and OnClock views.
-func (f *File) PageBuf() []byte { return f.bufs.get() }
+// Its capacity holds a whole physical frame, so ReadPayload can read and
+// verify a page in it without a copy. Return it with PutPageBuf when done;
+// buffers flow freely between goroutines and OnClock views.
+func (f *File) PageBuf() []byte { return f.bufs.get()[:f.pageSize] }
 
 // PutPageBuf recycles a buffer obtained from PageBuf.
 func (f *File) PutPageBuf(b []byte) {
-	if cap(b) >= f.pageSize {
-		f.bufs.put(b[:f.pageSize])
+	if cap(b) >= f.bufs.ps {
+		f.bufs.put(b[:f.bufs.ps])
 	}
 }
 

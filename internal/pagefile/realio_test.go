@@ -386,3 +386,75 @@ func BenchmarkBufPool(b *testing.B) {
 		}
 	})
 }
+
+// TestInPlaceReadBitrot injects bit rot into pread reads of an OS-backed
+// file. A pooled buffer receives each frame in place, so the flip must land
+// there and nowhere else: the file is untouched, the rot surfaces as a
+// CorruptPageError after charged rereads (plan rot sits in the stored image,
+// so no reread absorbs it), and the next clean read of the page returns the
+// original bytes as a sub-slice of the same buffer. A dst too small for a
+// frame takes the pooled-frame copy path with the same guarantees.
+func TestInPlaceReadBitrot(t *testing.T) {
+	sim := testSim()
+	path := writeTestFile(t, sim, 4)
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := OpenWith(sim, path, OpenOptions{Backend: BackendPread})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frameLen := frameHdrSize + f.PageSize()
+	for _, tc := range []struct {
+		name    string
+		dst     []byte
+		inPlace bool
+	}{
+		{"pooled", f.PageBuf(), true},
+		{"short", make([]byte, f.PageSize()), false},
+	} {
+		for i := int64(0); i < f.NumPages(); i++ {
+			stored := disk[(i+1)*int64(frameLen) : (i+2)*int64(frameLen)] // past the superblock
+			sim.SetFaultPlan(iosim.FaultPlan{Seed: 3, CorruptRate: 1})
+			before := sim.FaultCounters()
+			if _, err := f.ReadPayload(i, tc.dst); !IsCorrupt(err) {
+				t.Fatalf("%s page %d: rotted read = %v, want CorruptPageError", tc.name, i, err)
+			}
+			if fc := sim.FaultCounters(); fc.Rereads == before.Rereads || fc.CorruptPages != before.CorruptPages+1 {
+				t.Fatalf("%s page %d: rot not counted: %+v -> %+v", tc.name, i, before, fc)
+			}
+			if tc.inPlace {
+				flipped := 0
+				for j, b := range tc.dst[:frameLen] {
+					for x := b ^ stored[j]; x != 0; x &= x - 1 {
+						flipped++
+					}
+				}
+				if flipped != 1 {
+					t.Fatalf("%s page %d: caller's frame differs from disk in %d bits, want the 1 flipped", tc.name, i, flipped)
+				}
+			}
+			if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, disk) {
+				t.Fatalf("%s page %d: bit rot reached the file (read err %v)", tc.name, i, err)
+			}
+
+			sim.SetFaultPlan(iosim.FaultPlan{})
+			payload, err := f.ReadPayload(i, tc.dst)
+			if err != nil {
+				t.Fatalf("%s page %d: clean reread: %v", tc.name, i, err)
+			}
+			if !bytes.Equal(payload, fill(f.PageSize(), byte(i+1))) {
+				t.Fatalf("%s page %d: clean reread returned wrong bytes", tc.name, i)
+			}
+			at := &tc.dst[0]
+			if tc.inPlace {
+				at = &tc.dst[:frameLen][frameHdrSize]
+			}
+			if &payload[0] != at {
+				t.Fatalf("%s page %d: payload not where the %s path puts it", tc.name, i, tc.name)
+			}
+		}
+	}
+}

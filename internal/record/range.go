@@ -1,6 +1,9 @@
 package record
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Range is a closed interval [Lo, Hi] over one key dimension. A Range with
 // Lo > Hi is empty.
@@ -128,6 +131,19 @@ func (b Box) Empty() bool {
 func (b Box) ContainsRecord(rec *Record) bool {
 	for d, r := range b.dims {
 		if !r.Contains(rec.Coord(d)) {
+			return false
+		}
+	}
+	return true
+}
+
+// ContainsEncoded reports whether the record encoded in src (at least
+// NumDims*8 bytes of Marshal's output) lies inside the box, reading the
+// coordinates straight from the encoding: it equals ContainsRecord on the
+// decoded record without decoding it.
+func (b Box) ContainsEncoded(src []byte) bool {
+	for d, r := range b.dims {
+		if !r.Contains(int64(binary.LittleEndian.Uint64(src[8*d:]))) {
 			return false
 		}
 	}

@@ -32,6 +32,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -146,23 +147,46 @@ func (t FrameType) String() string {
 // dst and returns the extended slice. It fails if the frame would exceed
 // MaxFrame.
 func AppendFrame(dst []byte, t FrameType, body []byte) ([]byte, error) {
-	n := len(body) + 1
-	if n > MaxFrame {
-		return dst, fmt.Errorf("server: frame payload %d bytes exceeds limit %d", n, MaxFrame)
+	hdr, err := frameHeader(t, len(body))
+	if err != nil {
+		return dst, err
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, byte(t))
-	return append(dst, body...), nil
+	return append(append(dst, hdr[:]...), body...), nil
 }
 
-// WriteFrame writes one frame to w.
+// frameHeader encodes the length prefix and type byte of a frame whose body
+// is n bytes long.
+func frameHeader(t FrameType, n int) ([headerSize + 1]byte, error) {
+	var hdr [headerSize + 1]byte
+	if n+1 > MaxFrame {
+		return hdr, fmt.Errorf("server: frame payload %d bytes exceeds limit %d", n+1, MaxFrame)
+	}
+	binary.LittleEndian.PutUint32(hdr[:headerSize], uint32(n+1))
+	hdr[headerSize] = byte(t)
+	return hdr, nil
+}
+
+// WriteFrame writes one frame to w. A *bufio.Writer takes the header and
+// the body as two writes into its buffer, so the body is copied once and
+// no frame-sized buffer is allocated; any other writer receives the whole
+// frame in a single Write, so a frame written straight to a connection
+// never leaves in two pieces.
 func WriteFrame(w io.Writer, t FrameType, body []byte) error {
-	buf := make([]byte, 0, headerSize+1+len(body))
-	buf, err := AppendFrame(buf, t, body)
+	hdr, err := frameHeader(t, len(body))
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(buf); err != nil {
+	if bw, ok := w.(*bufio.Writer); ok {
+		// Staging the header in the writer's own free space keeps hdr off
+		// the heap.
+		if _, err = bw.Write(append(bw.AvailableBuffer(), hdr[:]...)); err == nil {
+			_, err = bw.Write(body)
+		}
+	} else {
+		frame := make([]byte, 0, len(hdr)+len(body))
+		_, err = w.Write(append(append(frame, hdr[:]...), body...))
+	}
+	if err != nil {
 		return fmt.Errorf("server: writing %v frame: %w", t, err)
 	}
 	return nil

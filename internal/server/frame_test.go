@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -80,6 +81,51 @@ func TestDecodeFrameBounds(t *testing.T) {
 	bad = append(bad, 0x01)
 	if _, _, _, err := DecodeFrame(bad); err == nil {
 		t.Fatal("length beyond available bytes: want error")
+	}
+}
+
+// writeCounter records every Write it receives.
+type writeCounter struct{ writes [][]byte }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriteFrameOneWrite: a writer that is not a *bufio.Writer (the
+// shutdown reject writes straight to the connection) receives each frame in
+// exactly one Write; a *bufio.Writer receives the same bytes without
+// WriteFrame allocating.
+func TestWriteFrameOneWrite(t *testing.T) {
+	body := bytes.Repeat([]byte{0x5a}, 3000)
+	want, err := AppendFrame(nil, FBatch, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w writeCounter
+	if err := WriteFrame(&w, FBatch, body); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.writes) != 1 || !bytes.Equal(w.writes[0], want) {
+		t.Fatalf("unbuffered writer got %d writes, want the whole frame in 1", len(w.writes))
+	}
+
+	var out bytes.Buffer
+	bw := bufio.NewWriterSize(&out, 64<<10)
+	allocs := testing.AllocsPerRun(10, func() {
+		out.Reset()
+		if err := WriteFrame(bw, FBatch, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatal("buffered writer emitted different frame bytes")
+	}
+	if allocs != 0 {
+		t.Fatalf("WriteFrame to a bufio.Writer allocates %.0f times per frame, want 0", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"sampleview/internal/record"
 )
@@ -218,13 +219,13 @@ func consumeBox(b []byte) (record.Box, []byte, error) {
 }
 
 // appendRecords encodes a record batch: count then the fixed-size codec of
-// each record.
+// each record, marshalled in place after growing b once.
 func appendRecords(b []byte, recs []record.Record) []byte {
 	b = appendU32(b, uint32(len(recs)))
-	var buf [record.Size]byte
+	off := len(b)
+	b = slices.Grow(b, len(recs)*record.Size)[:off+len(recs)*record.Size]
 	for i := range recs {
-		recs[i].Marshal(buf[:])
-		b = append(b, buf[:]...)
+		recs[i].Marshal(b[off+i*record.Size:])
 	}
 	return b
 }
@@ -678,7 +679,9 @@ type batchResp struct {
 }
 
 func (m batchResp) encode() []byte {
-	b := appendU32(nil, m.StreamID)
+	// stream id, eof flag, record count, records, position
+	b := make([]byte, 0, 4+1+4+len(m.Records)*record.Size+8)
+	b = appendU32(b, m.StreamID)
 	if m.EOF {
 		b = append(b, 1)
 	} else {

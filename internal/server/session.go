@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sampleview"
+	"sampleview/internal/record"
 	"sampleview/internal/shard"
 )
 
@@ -456,26 +457,37 @@ func (sess *session) handleOpenStream(body []byte) (FrameType, []byte) {
 // discarding. Positions already passed are never revisited; a predicate
 // that exhausts before target simply leaves the stream at its end. The
 // position advances through partial progress, so a transient fault leaves
-// the skip resumable exactly where it struck.
+// the skip resumable exactly where it struck. Streams that can draw into a
+// caller's buffer discard every chunk through one scratch slice.
 func (st *servedStream) skipTo(target int64) error {
+	var scratch []record.Record
 	for {
 		cur := st.pos.Load()
 		if cur >= target {
 			return nil
 		}
-		chunk := target - cur
-		if chunk > 4096 {
-			chunk = 4096
+		chunk := int(min(target-cur, 4096))
+		var err error
+		if a, ok := st.s.(sampleAppender); ok {
+			scratch, err = a.AppendSample(scratch[:0], chunk)
+		} else {
+			scratch, err = st.s.Sample(chunk)
 		}
-		recs, err := st.s.Sample(int(chunk))
-		st.pos.Add(int64(len(recs)))
+		st.pos.Add(int64(len(scratch)))
 		if err != nil {
 			return err
 		}
-		if int64(len(recs)) < chunk {
+		if len(scratch) < chunk {
 			return nil // exhausted before target
 		}
 	}
+}
+
+// sampleAppender is the optional ViewStream method skipTo discards through:
+// Sample appending to a caller's buffer. Both view stream kinds implement
+// it; a wrapper that only overrides Sample keeps seeing every draw.
+type sampleAppender interface {
+	AppendSample(dst []record.Record, n int) ([]record.Record, error)
 }
 
 // claimConnSlot reserves one per-connection stream slot.

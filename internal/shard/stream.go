@@ -243,22 +243,23 @@ func (s *Stream) popLocked(i int) (record.Record, bool, error) {
 
 // Sample collects up to n records (fewer if the predicate exhausts first).
 func (s *Stream) Sample(n int) ([]record.Record, error) {
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out := make([]record.Record, 0, capHint)
-	for len(out) < n {
+	return s.AppendSample(make([]record.Record, 0, min(n, 4096)), n)
+}
+
+// AppendSample is Sample appending to dst, so a caller can reuse one buffer
+// across draws.
+func (s *Stream) AppendSample(dst []record.Record, n int) ([]record.Record, error) {
+	for end := len(dst) + n; len(dst) < end; {
 		rec, err := s.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return out, err
+			return dst, err
 		}
-		out = append(out, rec)
+		dst = append(dst, rec)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Close releases the per-shard sampling state. Idempotent and safe to call

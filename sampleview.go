@@ -673,22 +673,33 @@ func (s *Stream) Close() error {
 // Sample collects up to n records from the stream (fewer if the predicate
 // exhausts first).
 func (s *Stream) Sample(n int) ([]Record, error) {
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096 // the predicate may exhaust long before n
+	return s.AppendSample(make([]Record, 0, min(n, 4096)), n) // the predicate may exhaust long before n
+}
+
+// AppendSample is Sample appending to dst, so a caller can reuse one buffer
+// across draws. The stream lock is taken once for the whole draw.
+func (s *Stream) AppendSample(dst []Record, n int) ([]Record, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return dst, ErrStreamClosed
 	}
-	out := make([]Record, 0, capHint)
-	for len(out) < n {
-		rec, err := s.Next()
-		if err == io.EOF {
-			break
+	var err error
+	if s.core != nil {
+		dst, err = s.core.Take(dst, n)
+	} else {
+		for end := len(dst) + n; len(dst) < end; {
+			var rec Record
+			if rec, err = s.live.Next(); err != nil {
+				break
+			}
+			dst = append(dst, rec)
 		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
 	}
-	return out, nil
+	if err == io.EOF {
+		err = nil
+	}
+	return dst, err
 }
 
 // Buffered returns the number of records parked in the base stream's
