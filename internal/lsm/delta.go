@@ -119,10 +119,13 @@ func (l *level) size() int64 { return l.nIns + l.nTombs }
 
 // writeDelta writes a new delta level holding the given inserts and
 // tombstones. A non-empty path creates an OS-backed pagefile; otherwise the
-// level lives in simulated memory. Both slices are sorted by Seq in place.
+// level lives in simulated memory. Both slices are sorted by Seq in place
+// unless already sorted: a sealed memview snapshot arrives sorted and stays
+// readable by concurrent queries while it is written, so it must not be
+// written to (sort.Slice makes no promise to leave sorted input alone).
 func writeDelta(sim *iosim.Sim, path string, gen uint64, inserts, tombs []record.Record) (*level, error) {
-	sort.Slice(inserts, func(i, j int) bool { return inserts[i].Seq < inserts[j].Seq })
-	sort.Slice(tombs, func(i, j int) bool { return tombs[i].Seq < tombs[j].Seq })
+	sortBySeq(inserts)
+	sortBySeq(tombs)
 
 	var f *pagefile.File
 	var err error
@@ -217,6 +220,14 @@ func writeDelta(sim *iosim.Sim, path string, gen uint64, inserts, tombs []record
 		return nil, fmt.Errorf("lsm: finalizing delta header: %w", err)
 	}
 	return lvl, nil
+}
+
+// sortBySeq sorts recs by Seq, leaving an already sorted slice unwritten.
+func sortBySeq(recs []record.Record) {
+	less := func(i, j int) bool { return recs[i].Seq < recs[j].Seq }
+	if !sort.SliceIsSorted(recs, less) {
+		sort.Slice(recs, less)
+	}
 }
 
 func encodeHeader(dst []byte, l *level, insStart, tombStart, bloomStart, bloomWords int64) {
@@ -317,26 +328,33 @@ func loadDelta(f *pagefile.File, path string) (*level, error) {
 // matchingInserts appends the level's inserts matching q to dst with one
 // sequential scan of the insert region (skipped entirely when the level's
 // bounds are disjoint from the predicate), charged to the given item-file
-// view.
+// view. Each page is read and checksum-verified into one pooled buffer;
+// records are filtered on their encoded coordinates and only matches are
+// decoded.
 func (l *level) matchingInserts(itf *pagefile.ItemFile, q record.Box, dst []record.Record) ([]record.Record, error) {
 	if l.nIns == 0 || !l.insBounds.overlaps(q) {
 		return dst, nil
 	}
-	r := itf.NewReader()
-	var rec record.Record
-	for {
-		item, err := r.Next()
-		if err == io.EOF {
-			return dst, nil
-		}
+	f := itf.File()
+	buf := f.PageBuf()
+	defer f.PutPageBuf(buf)
+	perPage := int64(itf.PerPage())
+	for p, left := itf.StartPage(), itf.Count(); left > 0; p++ {
+		page, err := f.ReadPayload(p, buf)
 		if err != nil {
 			return dst, err
 		}
-		rec.Unmarshal(item)
-		if q.ContainsRecord(&rec) {
-			dst = append(dst, rec)
+		n := min(left, perPage)
+		page = page[:n*record.Size]
+		for off := 0; off < len(page); off += record.Size {
+			if q.ContainsEncoded(page[off:]) {
+				dst = append(dst, record.Record{})
+				dst[len(dst)-1].Unmarshal(page[off:])
+			}
 		}
+		left -= n
 	}
+	return dst, nil
 }
 
 // lookupTomb reports whether the level tombstones seq. The in-memory bloom

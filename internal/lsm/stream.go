@@ -40,6 +40,8 @@ type Stream struct {
 	// so a retried Next resumes with the same record (nothing skipped).
 	pending *record.Record
 	checker *tombChecker
+	// est is the live matching population at open (see Estimate).
+	est float64
 }
 
 func newStream(parts *streamParts, base *core.Stream, rng *rand.Rand) *Stream {
@@ -58,8 +60,15 @@ func newStream(parts *streamParts, base *core.Stream, rng *rand.Rand) *Stream {
 		base:    base,
 		rng:     rng,
 		checker: parts.checker,
+		est:     parts.estimate(),
 	}
 }
+
+// Estimate returns the live matching population the stream opened over:
+// the exact write-path lists plus the base estimate net of tombstones —
+// what View.EstimateCount reports for the same state, without a second
+// gather.
+func (s *Stream) Estimate() float64 { return s.est }
 
 // baseIdx is the merger source index of the base tree's stream.
 func (s *Stream) baseIdx() int { return len(s.lists) }

@@ -418,6 +418,16 @@ type streamParts struct {
 	checker *tombChecker
 }
 
+// estimate is the live matching population the parts describe: the base
+// estimate plus every exact list.
+func (p *streamParts) estimate() float64 {
+	est := p.baseEst
+	for _, l := range p.lists {
+		est += float64(len(l))
+	}
+	return est
+}
+
 // gatherRetryBudget bounds the whole-scan retries gatherRetry makes. Each
 // pass pushes the currently failing page at least one attempt further, so
 // per-charger transient bursts (bounded by the fault plan) always clear
@@ -530,11 +540,7 @@ func (v *View) EstimateCount(q record.Box) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	est := parts.baseEst
-	for _, l := range parts.lists {
-		est += float64(len(l))
-	}
-	return est, nil
+	return parts.estimate(), nil
 }
 
 // Query returns a merged online sample stream for q, charging base and

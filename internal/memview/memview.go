@@ -26,12 +26,17 @@ var ErrSealed = errors.New("memview: buffer is sealed")
 
 // Buffer is the mutable in-memory ingest buffer. It is safe for concurrent
 // use; Snapshot may be called at any time without blocking writers for
-// longer than a map copy.
+// longer than a map copy, and repeated Snapshots between writes share one
+// cached copy.
 type Buffer struct {
 	mu      sync.Mutex
 	inserts map[uint64]record.Record // guarded by mu; keyed by Seq
 	tombs   map[uint64]record.Record // guarded by mu; keyed by Seq
 	sealed  bool                     // guarded by mu
+	// snap caches the last Snapshot until the next Insert or Delete. Its
+	// slices are never written after they are built, so every holder may
+	// read them without the lock.
+	snap *Snapshot // guarded by mu
 }
 
 // New returns an empty buffer.
@@ -51,6 +56,7 @@ func (b *Buffer) Insert(rec record.Record) error {
 		return ErrSealed
 	}
 	b.inserts[rec.Seq] = rec
+	b.snap = nil
 	return nil
 }
 
@@ -64,6 +70,7 @@ func (b *Buffer) Delete(rec record.Record) error {
 	if b.sealed {
 		return ErrSealed
 	}
+	b.snap = nil
 	if _, ok := b.inserts[rec.Seq]; ok {
 		delete(b.inserts, rec.Seq)
 		return nil
@@ -88,15 +95,21 @@ func (b *Buffer) Tombstones() int {
 
 // Snapshot returns an immutable, deterministically ordered copy of the
 // buffer's current contents. The buffer keeps filling afterwards; the
-// snapshot does not change.
+// snapshot does not change. Snapshots taken with no write in between share
+// one copy.
 func (b *Buffer) Snapshot() Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.snapshotLocked()
+	if b.snap == nil {
+		s := b.snapshotLocked()
+		b.snap = &s
+	}
+	return *b.snap
 }
 
 // Seal freezes the buffer (subsequent Insert/Delete return ErrSealed) and
-// returns its final snapshot for flushing.
+// returns its final snapshot for flushing, built afresh so the flush owns
+// its slices outright and never shares them with a cached Snapshot.
 func (b *Buffer) Seal() Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -1,6 +1,7 @@
 package memview
 
 import (
+	"slices"
 	"testing"
 
 	"sampleview/internal/record"
@@ -88,5 +89,56 @@ func TestMatchingInserts(t *testing.T) {
 		if r.Key < 10 || r.Key > 19 {
 			t.Fatalf("record key %d outside predicate", r.Key)
 		}
+	}
+}
+
+// TestSnapshotCache: Snapshots between writes share one cached copy (no
+// allocation), a held snapshot survives later writes unchanged, and the
+// next Snapshot after a write reflects it.
+func TestSnapshotCache(t *testing.T) {
+	b := New()
+	for i := uint64(0); i < 50; i++ {
+		b.Insert(rec(i, int64(i)))
+	}
+	b.Delete(rec(100, 100))
+	before := b.Snapshot()
+	ins := append([]record.Record(nil), before.Inserts...)
+	tombs := append([]record.Record(nil), before.Tombs...)
+
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.Snapshot() }); allocs != 0 {
+		t.Fatalf("repeated Snapshot with no write allocates %.1f times", allocs)
+	}
+
+	b.Insert(rec(60, 60))
+	if !slices.Equal(before.Inserts, ins) || !slices.Equal(before.Tombs, tombs) {
+		t.Fatal("held snapshot changed after Insert")
+	}
+	after := b.Snapshot()
+	if len(after.Inserts) != len(ins)+1 || after.Inserts[len(after.Inserts)-1].Seq != 60 {
+		t.Fatalf("Snapshot after Insert misses it: %d inserts", len(after.Inserts))
+	}
+
+	b.Delete(rec(3, 3))   // annihilates a buffered insert
+	b.Delete(rec(200, 0)) // tombstones an older record
+	if len(after.Inserts) != len(ins)+1 || len(after.Tombs) != len(tombs) {
+		t.Fatal("held snapshot changed after Delete")
+	}
+	final := b.Snapshot()
+	if len(final.Inserts) != len(after.Inserts)-1 || len(final.Tombs) != len(tombs)+1 {
+		t.Fatalf("Snapshot after Delete: %d inserts, %d tombs", len(final.Inserts), len(final.Tombs))
+	}
+	for _, r := range final.Inserts {
+		if r.Seq == 3 {
+			t.Fatal("annihilated insert still in the next Snapshot")
+		}
+	}
+	if !final.Deleted(200) || after.Deleted(200) {
+		t.Fatal("tombstone missing from the next Snapshot or leaked into the held one")
+	}
+
+	// Seal hands the flush its own slices, never the cached snapshot's.
+	sealed := b.Seal()
+	if len(sealed.Inserts) > 0 && &sealed.Inserts[0] == &final.Inserts[0] {
+		t.Fatal("Seal aliases the cached snapshot")
 	}
 }

@@ -235,8 +235,12 @@ func (t *ItemFile) NewReaderAt(start int64) *ItemReader {
 // burst. Consumers that surface records to a clock-sensitive caller (the
 // permuted-file sampler) use burst 1 so that a record becomes available
 // as soon as its own page has been transferred; bulk passes keep the
-// default burst.
+// default burst. The buffer never holds more pages than the region has
+// left from start; every burst reads at most that many anyway.
 func (t *ItemFile) NewReaderBurst(start int64, pages int) *ItemReader {
+	if left := t.NumPages() - start/int64(t.perPage); int64(pages) > left {
+		pages = int(left)
+	}
 	if pages < 1 {
 		pages = 1
 	}

@@ -240,7 +240,14 @@ func TestItemFileWriteRead(t *testing.T) {
 		t.Fatalf("NumPages = %d", itf.NumPages())
 	}
 
+	// The read-ahead buffer holds no more pages than the region has left.
+	if got := len(itf.NewReaderAt(11).buf); got != f.PageSize() {
+		t.Fatalf("reader at the last page buffers %d bytes, want one page", got)
+	}
 	r := itf.NewReader()
+	if got := len(r.buf); got != 3*f.PageSize() {
+		t.Fatalf("reader buffers %d bytes, want the region's 3 pages", got)
+	}
 	for i := 0; i < 12; i++ {
 		item, err := r.Next()
 		if err != nil {

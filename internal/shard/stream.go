@@ -123,29 +123,31 @@ func (v *View) queryLocked(q record.Box, src *rand.Rand) (*Stream, error) {
 	rem := make([]float64, len(v.shards))
 	for i, sp := range v.shards {
 		ck := v.farm.Disk(i).Fork()
-		est, err := sp.live.EstimateCount(q)
-		if err != nil {
-			return nil, fmt.Errorf("shard: estimating on shard %d: %w", i, err)
-		}
 		u := &sub{
 			clock: ck,
-			est0:  est,
 			rng:   rand.New(rand.NewPCG(src.Uint64(), src.Uint64())),
 		}
+		// Each shard's merge weight is the population of the stream just
+		// opened: the lsm stream's own gather, or the base estimate when
+		// the write path is empty (which is all a gather would find).
 		if sp.live.Empty() {
+			est, err := sp.live.Main().EstimateCount(q)
+			if err != nil {
+				return nil, fmt.Errorf("shard: estimating on shard %d: %w", i, err)
+			}
 			cs, err := sp.live.Main().WithClock(ck).Query(q)
 			if err != nil {
 				return nil, fmt.Errorf("shard: opening shard %d stream: %w", i, err)
 			}
-			u.core, u.queryLeaves = cs, cs.QueryLeaves()
+			u.core, u.queryLeaves, u.est0 = cs, cs.QueryLeaves(), est
 		} else {
 			ls, err := sp.live.QueryClocked(ck, q, rand.New(rand.NewPCG(src.Uint64(), src.Uint64())))
 			if err != nil {
 				return nil, fmt.Errorf("shard: opening shard %d stream: %w", i, err)
 			}
-			u.live, u.queryLeaves = ls, ls.QueryLeaves()
+			u.live, u.queryLeaves, u.est0 = ls, ls.QueryLeaves(), ls.Estimate()
 		}
-		subs[i], clocks[i], rem[i] = u, ck, est
+		subs[i], clocks[i], rem[i] = u, ck, u.est0
 	}
 	return &Stream{
 		merge:    interleave.New(rand.New(rand.NewPCG(src.Uint64(), src.Uint64())), rem),
